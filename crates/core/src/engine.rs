@@ -37,13 +37,12 @@ pub struct RecommenderConfig {
     pub novel_categories_only: bool,
 }
 
-/// Diagnostic detail of one pipeline run.
+/// Diagnostic detail of one pipeline run, returned by
+/// [`Recommender::recommend_traced`].
 ///
-/// The engine's primary record of a run now lives in the global metrics
-/// registry (`engine.*` and `appleseed.*` names, see `semrec-obs`); the
-/// public fields here are kept as a compatibility shim, populated with the
-/// same values the registry receives. [`PipelineTrace::from_registry`]
-/// rebuilds the trace of the most recent run from the registry alone.
+/// The same values also accumulate in the global metrics registry as the
+/// `engine.*` counters (see `semrec-obs`), summed over every run; this
+/// struct is the per-run view, so it stays exact under concurrency.
 #[derive(Clone, Debug)]
 pub struct PipelineTrace {
     /// Neighborhood size after trust filtering.
@@ -57,33 +56,14 @@ pub struct PipelineTrace {
 }
 
 impl PipelineTrace {
-    /// Reads the most recent run's trace back out of a metrics registry
-    /// (the `engine.last.*` gauges). Under concurrent batch evaluation the
-    /// gauges hold whichever run finished last; per-run traces should come
-    /// from [`Recommender::recommend_traced`] directly.
-    pub fn from_registry(registry: &semrec_obs::MetricsRegistry) -> PipelineTrace {
-        let read = |name: &str| registry.gauge(name).get() as usize;
-        PipelineTrace {
-            neighborhood_size: read("engine.last.neighborhood_size"),
-            trust_iterations: read("engine.last.trust_iterations"),
-            nodes_explored: read("engine.last.nodes_explored"),
-            effective_peers: read("engine.last.effective_peers"),
-        }
-    }
-
-    /// Publishes this trace to a registry: cumulative counters
-    /// (`engine.trust_iterations`, `engine.nodes_explored`,
-    /// `engine.effective_peers`) plus the `engine.last.*` gauges backing
-    /// [`PipelineTrace::from_registry`].
+    /// Adds this run to a registry's cumulative counters (`engine.runs`,
+    /// `engine.trust_iterations`, `engine.nodes_explored`,
+    /// `engine.effective_peers`).
     fn publish(&self, registry: &semrec_obs::MetricsRegistry) {
         registry.counter("engine.runs").inc();
         registry.counter("engine.trust_iterations").add(self.trust_iterations as u64);
         registry.counter("engine.nodes_explored").add(self.nodes_explored as u64);
         registry.counter("engine.effective_peers").add(self.effective_peers as u64);
-        registry.gauge("engine.last.neighborhood_size").set(self.neighborhood_size as f64);
-        registry.gauge("engine.last.trust_iterations").set(self.trust_iterations as f64);
-        registry.gauge("engine.last.nodes_explored").set(self.nodes_explored as f64);
-        registry.gauge("engine.last.effective_peers").set(self.effective_peers as f64);
     }
 }
 

@@ -1,7 +1,7 @@
 //! # semrec-obs — observability for the semrec pipeline
 //!
 //! A small, dependency-free observability layer shared by every crate in
-//! the workspace. Three pieces:
+//! the workspace. Two pieces:
 //!
 //! * **[`MetricsRegistry`]** — thread-safe named [`Counter`]s, [`Gauge`]s
 //!   and fixed-bucket [`Histogram`]s. Handles are `Arc`-backed and cheap to
@@ -9,14 +9,9 @@
 //!   `BTreeMap`-ordered for deterministic rendering and comparison, and
 //!   [`MetricsRegistry::reset`] zeroes in place so cached handles survive
 //!   across experiment runs.
-//! * **[`span`] / [`TraceTree`]** — scoped stage timers. A guard times the
-//!   region until drop, records wall time into the registry histogram of
-//!   the same name, and nests into a per-thread trace tree drained with
-//!   [`take_trace`].
-//! * **[`Observer`]** — an event-sink trait for coarse milestones (span
-//!   ends, crawl fetches, run markers), with [`RingBufferObserver`] as the
-//!   default in-memory implementation (drop-oldest on overflow) and a text
-//!   formatter.
+//! * **[`span`]** — scoped stage timers. A guard times the region until
+//!   drop and records the wall time into the registry histogram of the
+//!   same name; that histogram is the only thing a span records.
 //!
 //! Most call sites go through the process-wide [`global`] registry via the
 //! free functions:
@@ -46,15 +41,13 @@
 #![warn(missing_docs)]
 
 mod metrics;
-mod observer;
-mod trace;
+mod span;
 
 pub use metrics::{
     Counter, Gauge, Histogram, HistogramSnapshot, HistogramSummary, MetricsRegistry,
     MetricsSnapshot, DEFAULT_BUCKETS, TICK_BUCKETS,
 };
-pub use observer::{Event, EventKind, Observer, RingBufferObserver};
-pub use trace::{span, take_trace, SpanGuard, SpanNode, TraceTree};
+pub use span::{span, SpanGuard};
 
 use std::sync::OnceLock;
 
@@ -86,33 +79,13 @@ pub fn histogram_with_buckets(name: &str, bounds: &[f64]) -> Histogram {
     global().histogram_with_buckets(name, bounds)
 }
 
-/// Emits an event to the global registry's observers.
-pub fn emit(event: Event) {
-    global().emit(event);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
 
     #[test]
     fn global_is_one_registry() {
         counter("obs.test.global").add(2);
         assert_eq!(global().counter("obs.test.global").get(), 2);
-    }
-
-    #[test]
-    fn events_reach_registered_observers() {
-        let ring = Arc::new(RingBufferObserver::new(8));
-        let registry = MetricsRegistry::new();
-        registry.add_observer(ring.clone());
-        registry.emit(Event::marker("begin"));
-        registry.emit_value("x", EventKind::Count(3));
-        assert_eq!(ring.len(), 2);
-        assert_eq!(ring.events()[0].name, "begin");
-        registry.clear_observers();
-        registry.emit(Event::marker("after"));
-        assert_eq!(ring.len(), 2, "cleared observer no longer receives");
     }
 }

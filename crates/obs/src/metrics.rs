@@ -6,8 +6,6 @@ use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 
-use crate::observer::{Event, EventKind, Observer};
-
 /// A monotonically increasing counter.
 ///
 /// Cheap to clone; clones share the same underlying cell, so a hot loop can
@@ -383,7 +381,6 @@ pub struct MetricsRegistry {
     counters: RwLock<BTreeMap<String, Counter>>,
     gauges: RwLock<BTreeMap<String, Gauge>>,
     histograms: RwLock<BTreeMap<String, Histogram>>,
-    observers: RwLock<Vec<Arc<dyn Observer>>>,
 }
 
 impl std::fmt::Debug for MetricsRegistry {
@@ -434,37 +431,8 @@ impl MetricsRegistry {
             .clone()
     }
 
-    /// Registers an event sink. See [`Observer`].
-    pub fn add_observer(&self, observer: Arc<dyn Observer>) {
-        self.observers.write().unwrap().push(observer);
-    }
-
-    /// Removes all observers.
-    pub fn clear_observers(&self) {
-        self.observers.write().unwrap().clear();
-    }
-
-    /// Delivers an event to every registered observer.
-    ///
-    /// Counters and histograms do *not* emit on every update — emission is
-    /// for coarse milestones (span ends, crawl fetches, run boundaries)
-    /// where per-event overhead is acceptable.
-    pub fn emit(&self, event: Event) {
-        let observers = self.observers.read().unwrap();
-        for observer in observers.iter() {
-            observer.on_event(&event);
-        }
-    }
-
-    /// Convenience: emit a named marker event with a value.
-    pub fn emit_value(&self, name: &str, kind: EventKind) {
-        if !self.observers.read().unwrap().is_empty() {
-            self.emit(Event { name: name.to_string(), kind });
-        }
-    }
-
     /// Zeroes every metric in place. Existing handles remain valid and
-    /// keep pointing at the (now zeroed) cells; observers are untouched.
+    /// keep pointing at the (now zeroed) cells.
     pub fn reset(&self) {
         for counter in self.counters.read().unwrap().values() {
             counter.0.store(0, Ordering::Relaxed);

@@ -137,8 +137,11 @@ proptest! {
     fn similarity_only_blend_is_rank_order_equivalent(
         (n, trust, ratings) in arb_world(),
     ) {
+        // Both rankers bump `rank.*` counters in the global registry, which
+        // (a) snapshots; hold the same lock so its counter maps stay exact.
+        let _serial = lock();
         let community = build(n, &trust, &ratings);
-        let baseline = Recommender::new(community.clone(), RecommenderConfig::default());
+        let baseline =Recommender::new(community.clone(), RecommenderConfig::default());
         let spread = spreading_engine(
             community,
             SpreadingParams { blend: BlendWeights::SIMILARITY_ONLY, ..Default::default() },
@@ -166,6 +169,9 @@ proptest! {
         retention_b in 0.05f64..1.0,
         horizon in 0usize..4,
     ) {
+        // The activation kernel scores similarity, which bumps
+        // `profiles.similarity.*` counters that (a) snapshots.
+        let _serial = lock();
         let community = build(n, &trust, &ratings);
         let config = RecommenderConfig::default();
         let profiles = ProfileStore::build(&community, &config.profile);
