@@ -6,16 +6,17 @@
 //! **critical-path efficiency**: per-shard work is timed individually and
 //! the distributed wall-clock is modeled as the slowest shard — what a
 //! one-node-per-shard fleet would observe, since shard builds and
-//! refreshes are independent between exchange barriers. Efficiency at N
-//! shards is `T(1) / (N · max_i T_i(N))`; 1.0 is perfectly linear.
+//! refreshes are independent. Efficiency at N shards is
+//! `T(1) / (N · max_i T_i(N))`; 1.0 is perfectly linear.
 //!
 //! Three sweeps per shard count:
 //!
 //! 1. **Rebuild** — full partition + per-shard model build.
 //! 2. **Refresh** — a small rating churn spread across the whole universe;
 //!    every shard is dirtied, each rebuilds only itself.
-//! 3. **Serve** — a fixed query panel through the cross-shard Appleseed
-//!    protocol, counting exchange rounds actually crossed.
+//! 3. **Serve** — a fixed query panel through Appleseed over the
+//!    cross-shard topology, counting the ranked agents each query found
+//!    on shards other than its target's (`shard.remote.discovered`).
 //!
 //! A final **localized-delta** run at the largest shard count dirties only
 //! shard 0 and asserts the partitioning contract of the incremental path:
@@ -47,9 +48,10 @@ pub struct Summary {
     /// Profiles recomputed on untouched shards during the localized-delta
     /// run — the incremental contract demands exactly zero.
     pub untouched_recomputed: u64,
-    /// Cross-shard exchange rounds counted during the serve sweep at the
-    /// largest shard count (zero would mean the protocol never ran).
-    pub exchange_rounds: u64,
+    /// Ranked agents found on a shard other than the target's during the
+    /// serve sweep at the largest shard count (zero would mean no query
+    /// crossed a shard boundary).
+    pub remote_discovered: u64,
 }
 
 /// Runs E21 at the given scale.
@@ -106,7 +108,7 @@ fn churn(community: &Community, targets: &[GlobalId]) -> (Community, ModelDelta)
 
 /// The experiment body, parameterized for tests.
 pub fn run_with(agents: usize, queries: usize, seed: u64) -> Summary {
-    super::header("E21", "sharded universe: partition, cross-shard Appleseed, per-shard refresh");
+    super::header("E21", "sharded universe: partition, cross-shard trust, per-shard refresh");
     println!("generating {agents} agents (lightened density)…");
     let started = Instant::now();
     let generated = generate_community(&gen_config(agents, seed));
@@ -143,7 +145,7 @@ pub fn run_with(agents: usize, queries: usize, seed: u64) -> Summary {
         "recomputed",
         "reused",
         "serve_ms_q",
-        "xch_rounds_q",
+        "remote_q",
     ]);
 
     // Churn panel: 0.2% of agents, strided across the whole universe so
@@ -159,7 +161,7 @@ pub fn run_with(agents: usize, queries: usize, seed: u64) -> Summary {
     let mut base_refresh_cp = 0.0f64;
     let mut rebuild_eff_at_max = 0.0f64;
     let mut refresh_eff_at_max = 0.0f64;
-    let mut exchange_at_max = 0u64;
+    let mut remote_at_max = 0u64;
 
     for &n in &shard_counts {
         let (model, build) =
@@ -185,12 +187,11 @@ pub fn run_with(agents: usize, queries: usize, seed: u64) -> Summary {
         }
         let serve_s = serve_started.elapsed().as_secs_f64();
         let after = counters();
-        let rounds = counter_delta(&before, &after, "shard.exchange.rounds");
-        let runs = counter_delta(&before, &after, "shard.appleseed.runs").max(1);
+        let remote = counter_delta(&before, &after, "shard.remote.discovered");
         if n == max_shards {
             rebuild_eff_at_max = rebuild_eff;
             refresh_eff_at_max = refresh_eff;
-            exchange_at_max = rounds;
+            remote_at_max = remote;
         }
 
         table.row([
@@ -203,7 +204,7 @@ pub fn run_with(agents: usize, queries: usize, seed: u64) -> Summary {
             refresh.profiles_recomputed.to_string(),
             refresh.profiles_reused.to_string(),
             fmt(serve_s * 1e3 / panel.len() as f64),
-            fmt(rounds as f64 / runs as f64),
+            fmt(remote as f64 / panel.len() as f64),
         ]);
     }
     println!("{}", table.render());
@@ -243,7 +244,7 @@ pub fn run_with(agents: usize, queries: usize, seed: u64) -> Summary {
         rebuild_efficiency: rebuild_eff_at_max,
         refresh_efficiency: refresh_eff_at_max,
         untouched_recomputed: untouched,
-        exchange_rounds: exchange_at_max,
+        remote_discovered: remote_at_max,
     }
 }
 
@@ -259,7 +260,7 @@ mod tests {
             summary.untouched_recomputed, 0,
             "a shard-0-localized delta must not recompute profiles elsewhere"
         );
-        assert!(summary.exchange_rounds > 0, "8-shard serving must cross shard boundaries");
+        assert!(summary.remote_discovered > 0, "8-shard serving must cross shard boundaries");
         assert!(summary.rebuild_efficiency > 0.0);
         assert!(summary.refresh_efficiency > 0.0);
     }

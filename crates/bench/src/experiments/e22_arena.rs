@@ -28,7 +28,7 @@ use semrec_datagen::community::generate_community;
 use semrec_eval::table::Table;
 use semrec_profiles::similarity;
 use semrec_store::{decode_v2, encode_v2, sniff_version, Checkpoint, SNAPSHOT_V2};
-use semrec_trust::appleseed::{appleseed, appleseed_csr, AppleseedParams};
+use semrec_trust::appleseed::{appleseed, AppleseedParams};
 use semrec_web::crawler::{crawl, CommunityBuilder, CrawlConfig};
 use semrec_web::publish::publish_community;
 use semrec_web::store::DocumentWeb;
@@ -129,7 +129,7 @@ pub fn run(scale: Scale) -> Outcome {
 
     let started = Instant::now();
     let csr_ranks: Vec<_> =
-        picks.iter().map(|&s| appleseed_csr(csr, s, &params).expect("converges")).collect();
+        picks.iter().map(|&s| appleseed(csr, s, &params).expect("converges")).collect();
     let appleseed_csr_ms = started.elapsed().as_secs_f64() * 1e3;
 
     let appleseed_identical = graph_ranks.iter().zip(&csr_ranks).all(|(g, c)| {

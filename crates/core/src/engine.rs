@@ -9,7 +9,7 @@
 use std::sync::Arc;
 
 use semrec_profiles::generation::ProfileParams;
-use semrec_trust::neighborhood::{form_neighborhood_csr, NeighborhoodParams};
+use semrec_trust::neighborhood::{form_neighborhood, NeighborhoodParams};
 use semrec_trust::{AgentId, CsrGraph};
 
 use crate::error::Result;
@@ -372,7 +372,7 @@ impl Recommender {
         let model = &*self.model;
         let neighborhood = {
             let _stage = semrec_obs::span("engine.stage.neighborhood");
-            form_neighborhood_csr(&model.trust_csr, target, &model.config.neighborhood)?
+            form_neighborhood(&model.trust_csr, target, &model.config.neighborhood)?
         };
         let peers: Vec<PeerScores> = {
             let _stage = semrec_obs::span("engine.stage.profiles");

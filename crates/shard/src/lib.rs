@@ -8,14 +8,12 @@
 //! homepages, merged by whoever computes — maps directly onto shards as
 //! the unit of distribution.
 //!
-//! The load-bearing piece is **cross-shard Appleseed**
-//! ([`mod@crate::appleseed`]): spreading activation runs locally per
-//! shard, energy crossing a shard boundary accumulates into per-edge
-//! frontier packets, and lockstep exchange rounds flush those packets
-//! until the global residual converges. The protocol is deterministic
-//! across shard counts, compute-thread counts, and shard scheduling
-//! order — and at N=1 it degenerates to the exact global algorithm,
-//! byte for byte.
+//! Trust spreading is `semrec-trust`'s one Appleseed kernel, run over a
+//! read-only view of the shards' out-stars keyed by global ordinal (the
+//! crate-private `topology` module). The view walks each agent's
+//! out-edges in the global graph's order, so sharded output is
+//! bit-identical to the unsharded engine at every shard count and
+//! compute-thread count.
 //!
 //! * [`ShardedModel`] — partition, serve, and incrementally advance
 //! * [`ShardedServeCache`] — per-shard epoch-aware serve cache carry-over
@@ -24,13 +22,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod appleseed;
 pub mod cache;
 pub mod model;
 pub mod partition;
 pub mod persist;
+mod topology;
 
-pub use appleseed::ShardedAppleseedResult;
 pub use cache::ShardedServeCache;
 pub use model::{Shard, ShardBuildReport, ShardedAdvanceReport, ShardedModel};
 pub use partition::{cut_edges, CommunityShardFn, Directory, GlobalId, HashShardFn, ShardFn};

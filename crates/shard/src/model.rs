@@ -4,11 +4,12 @@
 //! A [`ShardedModel`] is the sharded counterpart of `semrec-core`'s
 //! `SharedModel`: every agent lives on exactly one shard, which owns its
 //! ratings, its outgoing trust statements, and its materialized taxonomy
-//! profile. Trust spreading runs through the cross-shard protocol in
-//! [`crate::appleseed`]; the rest of the pipeline (normalization, rank
-//! synthesization, voting, novelty filtering) mirrors the unsharded engine
-//! statement for statement, keyed by stable [`GlobalId`] ordinals so that
-//! a single-shard model is byte-identical to the unsharded one.
+//! profile. Trust spreading runs `semrec-trust`'s Appleseed kernel over a
+//! cross-shard view of the shards' out-stars (the `topology` module); the
+//! rest of the pipeline (normalization, rank synthesization, voting,
+//! novelty filtering) mirrors the unsharded engine statement for
+//! statement, keyed by stable [`GlobalId`] ordinals, so a model of any
+//! shard count is byte-identical to the unsharded one.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -22,34 +23,20 @@ use semrec_core::{
     RecommenderConfig, Result,
 };
 use semrec_profiles::ProfileView;
-use semrec_trust::TrustError;
+use semrec_trust::appleseed::{appleseed, AppleseedResult};
+use semrec_trust::{TrustError, TrustNeighborhood};
 
-use crate::appleseed::{sharded_appleseed, ShardedAppleseedResult};
 use crate::partition::{cut_edges, Directory, GlobalId, ShardFn};
+use crate::topology::ShardedTopology;
 
-/// Where an out-star edge lands.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum Target {
-    /// The trustee lives on the same shard.
-    Local(AgentId),
-    /// The trustee lives on another shard (a *boundary* edge).
-    Remote {
-        /// Owning shard index.
-        shard: u32,
-        /// The trustee's local index on that shard.
-        local: u32,
-    },
-}
-
-/// One outgoing trust statement in a shard's merged out-star.
+/// One outgoing trust statement in a shard's merged out-star. The owning
+/// shard of the trustee is the [`Directory`]'s to say.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct StarEdge {
     /// The trustee's global ordinal (edges are sorted by this).
     pub global: GlobalId,
     /// Signed trust weight.
     pub weight: f64,
-    /// Resolved destination.
-    pub target: Target,
 }
 
 /// One partition of the agent universe: a fully self-contained local model
@@ -178,6 +165,13 @@ impl ShardedAdvanceReport {
 }
 
 /// The partitioned agent universe.
+///
+/// Queries run the unsharded engine's stages over shard-owned data: one
+/// Appleseed call over the cross-shard topology, then similarity,
+/// synthesis and voting with each peer's profile and ratings read from
+/// its owning shard. Recommendations are bit-identical to
+/// `semrec-core`'s `Recommender` (default ranker) on the same community
+/// and configuration, at any shard count, partitioner and thread count.
 #[derive(Clone)]
 pub struct ShardedModel {
     shards: Vec<Arc<Shard>>,
@@ -188,7 +182,6 @@ pub struct ShardedModel {
     config: RecommenderConfig,
     shard_fn: Arc<dyn ShardFn>,
     threads: usize,
-    schedule: Vec<usize>,
 }
 
 impl std::fmt::Debug for ShardedModel {
@@ -268,7 +261,6 @@ impl ShardedModel {
             config,
             shard_fn,
             threads,
-            schedule: (0..shards).collect(),
         };
         (model, report)
     }
@@ -283,37 +275,13 @@ impl ShardedModel {
         config: RecommenderConfig,
         shard_fn: Arc<dyn ShardFn>,
     ) -> ShardedModel {
-        let n = shards.len();
-        ShardedModel {
-            shards,
-            directory,
-            local_of,
-            config,
-            shard_fn,
-            threads: 1,
-            schedule: (0..n).collect(),
-        }
+        ShardedModel { shards, directory, local_of, config, shard_fn, threads: 1 }
     }
 
-    /// Sets the compute-thread fan-out for per-shard work (builds, the
-    /// cross-shard protocol's compute phase, batch serving). Results are
-    /// byte-identical for any value.
+    /// Sets the compute-thread fan-out for per-shard work (builds, batch
+    /// serving). Results are byte-identical for any value.
     pub fn with_threads(mut self, threads: usize) -> ShardedModel {
         self.threads = threads.max(1);
-        self
-    }
-
-    /// Sets the order shards are visited by sequential compute phases and
-    /// chunked over parallel workers. Must be a permutation of
-    /// `0..shards`; results are byte-identical for any permutation.
-    pub fn with_schedule(mut self, schedule: Vec<usize>) -> ShardedModel {
-        let mut seen = vec![false; self.shards.len()];
-        assert_eq!(schedule.len(), self.shards.len(), "schedule must cover every shard");
-        for &s in &schedule {
-            assert!(s < self.shards.len() && !seen[s], "schedule must be a permutation");
-            seen[s] = true;
-        }
-        self.schedule = schedule;
         self
     }
 
@@ -367,19 +335,38 @@ impl ShardedModel {
         Ok(self.shards[shard].profiles.profile(local))
     }
 
-    /// Runs the cross-shard trust metric for `source` with the model's
-    /// neighborhood parameters (see [`crate::appleseed`]).
-    pub fn trust_ranks(&self, source: GlobalId) -> Result<ShardedAppleseedResult> {
+    /// The cross-shard trust topology, keyed by global ordinal.
+    pub(crate) fn topology(&self) -> ShardedTopology<'_> {
+        ShardedTopology {
+            shards: &self.shards,
+            directory: &self.directory,
+            local_of: &self.local_of,
+        }
+    }
+
+    /// Runs `semrec-trust`'s Appleseed for `source` with the model's
+    /// neighborhood parameters over the cross-shard topology. Ranked
+    /// agents are keyed by global ordinal (`AgentId(i)` is `GlobalId(i)`),
+    /// so the result equals the unsharded metric's bit for bit.
+    ///
+    /// Counts the ranked agents owned by a shard other than the source's
+    /// into `shard.remote.discovered`: the out-rows a one-node-per-shard
+    /// deployment would have to ship to the source's node.
+    pub fn trust_ranks(&self, source: GlobalId) -> Result<AppleseedResult> {
         let (source_shard, _) = self.locate(source)?;
-        let result = sharded_appleseed(
-            &self.shards,
-            &self.local_of,
-            source,
-            source_shard,
+        let result = appleseed(
+            &self.topology(),
+            AgentId::from_index(source.index()),
             &self.config.neighborhood.appleseed,
-            self.threads,
-            &self.schedule,
         )?;
+        let remote = result
+            .ranks
+            .iter()
+            .filter(|&&(a, _)| {
+                self.directory.shard_of(GlobalId(a.index() as u32)) as usize != source_shard
+            })
+            .count();
+        semrec_obs::counter("shard.remote.discovered").add(remote as u64);
         Ok(result)
     }
 
@@ -387,30 +374,22 @@ impl ShardedModel {
     /// counterpart of the engine's `peer_weights`.
     pub fn peer_weights(&self, target: GlobalId) -> Result<Vec<(GlobalId, f64)>> {
         let ranks = self.trust_ranks(target)?;
-        let nb = &self.config.neighborhood;
-        let peers: Vec<(GlobalId, f64)> = ranks
-            .ranks
-            .iter()
-            .copied()
-            .filter(|&(_, r)| r > nb.min_rank)
-            .take(nb.max_peers)
-            .collect();
-        // Normalize exactly as TrustNeighborhood::normalized does.
-        let max = peers.first().map_or(0.0, |&(_, r)| r);
-        let normalized: Vec<(GlobalId, f64)> = if max <= 0.0 {
-            peers
-        } else {
-            peers.iter().map(|&(p, r)| (p, (r / max).max(0.0))).collect()
-        };
+        let neighborhood = TrustNeighborhood::from_ranking(
+            AgentId::from_index(target.index()),
+            &ranks,
+            &self.config.neighborhood,
+        );
         let target_profile = self.profile_of(target)?;
-        let scores: Vec<PeerScores> = normalized
+        let scores: Vec<PeerScores> = neighborhood
+            .normalized()
             .into_iter()
-            .map(|(peer, trust)| {
-                let (shard, local) = self.locate(peer).expect("ranked peers exist");
+            .map(|(agent, trust)| {
+                let (shard, local) =
+                    self.locate(GlobalId(agent.index() as u32)).expect("ranked peers exist");
                 PeerScores {
                     // The global ordinal doubles as the tie-break id so the
                     // synthesized order matches the unsharded engine.
-                    agent: AgentId::from_index(peer.index()),
+                    agent,
                     trust,
                     similarity: self
                         .config
@@ -545,7 +524,6 @@ impl ShardedModel {
                 self.threads,
             );
             model.threads = self.threads;
-            model.schedule = self.schedule.clone();
             // Every generation counter moves forward: all content may have
             // shifted shards, so no cache entry survives.
             for (i, shard) in model.shards.iter_mut().enumerate() {
@@ -620,6 +598,7 @@ impl ShardedModel {
         // closure (an h-hop agent path crosses at most h shard boundaries).
         let serve_dirty_flags = serve_dirty_closure(
             &new_shards,
+            &self.directory,
             &model_dirty,
             self.config.neighborhood.appleseed.max_range,
         );
@@ -637,7 +616,6 @@ impl ShardedModel {
             config: self.config,
             shard_fn: Arc::clone(&self.shard_fn),
             threads: self.threads,
-            schedule: self.schedule.clone(),
         };
         let report = ShardedAdvanceReport {
             wholesale: false,
@@ -773,18 +751,16 @@ pub(crate) fn build_shard(
         let mut star = Vec::new();
         for &(trustee, weight) in global.trust.out_edges(global_id) {
             let t = trustee.index();
-            let target = if assignment[t] == me {
+            if assignment[t] == me {
                 let trustee_local = AgentId::from_index(local_of[t] as usize);
                 community
                     .trust
                     .set_trust(local_id, trustee_local, weight)
                     .expect("valid copied trust edge");
-                Target::Local(trustee_local)
             } else {
                 boundary_out += 1;
-                Target::Remote { shard: assignment[t], local: local_of[t] }
-            };
-            star.push(StarEdge { global: GlobalId(t as u32), weight, target });
+            }
+            star.push(StarEdge { global: GlobalId(t as u32), weight });
         }
         outstar.push(star);
     }
@@ -813,6 +789,7 @@ pub(crate) fn build_shard(
 /// itself in zero hops)?
 fn serve_dirty_closure(
     shards: &[Arc<Shard>],
+    directory: &Directory,
     model_dirty: &[bool],
     horizon: Option<u32>,
 ) -> Vec<bool> {
@@ -822,8 +799,9 @@ fn serve_dirty_closure(
     for (s, shard) in shards.iter().enumerate() {
         for star in &shard.outstar {
             for edge in star {
-                if let Target::Remote { shard: t, .. } = edge.target {
-                    reachers[t as usize].insert(s);
+                let t = directory.shard_of(edge.global) as usize;
+                if t != s {
+                    reachers[t].insert(s);
                 }
             }
         }

@@ -4,8 +4,8 @@
 //! Every agent in the sharded universe is identified by a [`GlobalId`] —
 //! its ordinal in the [`Directory`], assigned in global registration order
 //! at partition time. Shard-local `AgentId`s are an implementation detail
-//! (they may even be renumbered by a persistence round-trip); all
-//! cross-shard protocol state and every externally visible ranking is
+//! (they may even be renumbered by a persistence round-trip); the
+//! cross-shard trust topology and every externally visible ranking are
 //! keyed by the stable global ordinal.
 
 use std::collections::HashMap;
@@ -16,7 +16,7 @@ use semrec_store::codec::fnv1a64;
 /// Stable global ordinal of an agent in the sharded universe.
 ///
 /// At partition time this equals the global community's `AgentId` index,
-/// which is what makes the N=1 sharded pipeline byte-identical to the
+/// which is what makes the sharded pipeline byte-identical to the
 /// unsharded one (identical tie-break order everywhere an `AgentId`
 /// comparison decides between equal scores).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]

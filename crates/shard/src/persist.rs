@@ -41,7 +41,7 @@ use semrec_store::codec::{fnv1a64, Reader, Writer};
 use semrec_store::{CheckpointReport, Error, Result, Store};
 use semrec_web::{CommunityBuilder, CrawlDelta, ExtractedAgent};
 
-use crate::model::{Shard, ShardedModel, StarEdge, Target};
+use crate::model::{Shard, ShardedModel, StarEdge};
 use crate::partition::{Directory, GlobalId, ShardFn};
 
 const DIRECTORY_MAGIC: &[u8; 8] = b"SRDIR001";
@@ -398,26 +398,17 @@ fn stitch_shard(
             .trust
             .out_edges(local)
             .iter()
-            .map(|&(trustee, weight)| StarEdge {
-                global: globals[trustee.index()],
-                weight,
-                target: Target::Local(trustee),
-            })
+            .map(|&(trustee, weight)| StarEdge { global: globals[trustee.index()], weight })
             .collect();
         if let Some(remote) = boundary.get(uri.as_str()) {
             for (trustee, weight) in remote {
                 // Edges to agents that left the universe (or moved onto
                 // this shard through a later repartition) are dropped.
                 let Some(g) = directory.by_uri(trustee) else { continue };
-                let shard = directory.shard_of(g);
-                if shard as usize == me || local_of[g.index()] == u32::MAX {
+                if directory.shard_of(g) as usize == me || local_of[g.index()] == u32::MAX {
                     continue;
                 }
-                star.push(StarEdge {
-                    global: g,
-                    weight: *weight,
-                    target: Target::Remote { shard, local: local_of[g.index()] },
-                });
+                star.push(StarEdge { global: g, weight: *weight });
                 boundary_out += 1;
             }
         }
@@ -453,9 +444,10 @@ fn local_view(
         let mut remote = Vec::new();
         for edge in &shard.outstar[local.index()] {
             let trustee = directory.uri(edge.global).to_string();
-            match edge.target {
-                Target::Local(_) => trust.push((trustee, edge.weight)),
-                Target::Remote { .. } => remote.push((trustee, edge.weight)),
+            if directory.shard_of(edge.global) as usize == s {
+                trust.push((trustee, edge.weight));
+            } else {
+                remote.push((trustee, edge.weight));
             }
         }
         trust.sort_by(|a, b| a.0.cmp(&b.0));

@@ -114,9 +114,7 @@ impl Default for AppleseedParams {
 }
 
 impl AppleseedParams {
-    /// Validates the parameter set; shared with the sharded cross-shard
-    /// variant in `semrec-shard`, which must reject exactly what the
-    /// global metric rejects.
+    /// Validates the parameter set.
     pub fn validate(&self) -> Result<()> {
         if self.injection <= 0.0 || !self.injection.is_finite() {
             return Err(TrustError::InvalidParameter {
@@ -201,27 +199,11 @@ struct NodeState {
     energy_next: f64,
 }
 
-/// Runs Appleseed for `source` over an adjacency-list graph.
-pub fn appleseed(
-    graph: &TrustGraph,
-    source: AgentId,
-    params: &AppleseedParams,
-) -> Result<AppleseedResult> {
-    appleseed_on(graph, source, params)
-}
-
-/// Runs Appleseed for `source` over a flat CSR graph — the cache-friendly
-/// hot path. Bit-identical to [`appleseed`] on the equivalent graph.
-pub fn appleseed_csr(
-    graph: &CsrGraph,
-    source: AgentId,
-    params: &AppleseedParams,
-) -> Result<AppleseedResult> {
-    appleseed_on(graph, source, params)
-}
-
-/// The spreading-activation loop, generic over the graph layout.
-pub fn appleseed_on<G: TrustTopology>(
+/// Runs Appleseed for `source` over any [`TrustTopology`] — the
+/// adjacency-list [`TrustGraph`], the flat [`CsrGraph`] hot path, or a
+/// view over another layout. Layouts that iterate out-edges in the same
+/// order yield bit-identical results.
+pub fn appleseed<G: TrustTopology>(
     graph: &G,
     source: AgentId,
     params: &AppleseedParams,

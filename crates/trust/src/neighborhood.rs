@@ -7,10 +7,9 @@
 //! research issue of §2 calls for.
 
 use crate::agent::AgentId;
-use crate::appleseed::{appleseed_on, AppleseedParams, TrustTopology};
+use crate::appleseed::{appleseed, AppleseedParams, AppleseedResult, TrustTopology};
 use crate::csr::CsrGraph;
 use crate::error::Result;
-use crate::graph::TrustGraph;
 
 /// How a trust neighborhood is selected from the metric's ranking.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -71,6 +70,28 @@ impl TrustNeighborhood {
         self.peers.iter().any(|&(p, _)| p == peer)
     }
 
+    /// Selects the neighborhood from an Appleseed ranking of `source`: the
+    /// first `max_peers` peers ranked above `min_rank`.
+    pub fn from_ranking(
+        source: AgentId,
+        ranking: &AppleseedResult,
+        params: &NeighborhoodParams,
+    ) -> TrustNeighborhood {
+        let peers = ranking
+            .ranks
+            .iter()
+            .copied()
+            .filter(|&(_, r)| r > params.min_rank)
+            .take(params.max_peers)
+            .collect();
+        TrustNeighborhood {
+            source,
+            peers,
+            iterations: ranking.iterations,
+            nodes_explored: ranking.nodes_discovered,
+        }
+    }
+
     /// Trust ranks normalized to `[0, 1]` by the maximum rank.
     ///
     /// Used by rank synthesization (§3.4) to make trust comparable with
@@ -84,50 +105,31 @@ impl TrustNeighborhood {
     }
 }
 
-/// Forms the trust neighborhood of `source` with Appleseed.
-pub fn form_neighborhood(
-    graph: &TrustGraph,
+/// Forms the trust neighborhood of `source` with Appleseed over any
+/// [`TrustTopology`].
+pub fn form_neighborhood<G: TrustTopology>(
+    graph: &G,
     source: AgentId,
     params: &NeighborhoodParams,
 ) -> Result<TrustNeighborhood> {
-    form_neighborhood_on(graph, source, params)
+    let result = appleseed(graph, source, &params.appleseed)?;
+    Ok(TrustNeighborhood::from_ranking(source, &result, params))
 }
 
-/// Forms the trust neighborhood of `source` over a flat [`CsrGraph`] —
-/// the engine's hot path. Bit-identical to [`form_neighborhood`] on the
-/// equivalent adjacency-list graph.
+/// [`form_neighborhood`] over a flat [`CsrGraph`], for callers that name
+/// the layout.
 pub fn form_neighborhood_csr(
     graph: &CsrGraph,
     source: AgentId,
     params: &NeighborhoodParams,
 ) -> Result<TrustNeighborhood> {
-    form_neighborhood_on(graph, source, params)
-}
-
-fn form_neighborhood_on<G: TrustTopology>(
-    graph: &G,
-    source: AgentId,
-    params: &NeighborhoodParams,
-) -> Result<TrustNeighborhood> {
-    let result = appleseed_on(graph, source, &params.appleseed)?;
-    let peers = result
-        .ranks
-        .iter()
-        .copied()
-        .filter(|&(_, r)| r > params.min_rank)
-        .take(params.max_peers)
-        .collect();
-    Ok(TrustNeighborhood {
-        source,
-        peers,
-        iterations: result.iterations,
-        nodes_explored: result.nodes_discovered,
-    })
+    form_neighborhood(graph, source, params)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::graph::TrustGraph;
 
     fn community() -> (TrustGraph, Vec<AgentId>) {
         let mut g = TrustGraph::with_agents(6);

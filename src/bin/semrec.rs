@@ -1141,7 +1141,7 @@ fn shard_bench(opts: &Options) {
 
     let mut table = Table::new([
         "shards", "cut %", "build cp ms", "build eff", "refresh cp ms", "refresh eff",
-        "recomp", "reused", "serve µs/q", "xch rounds/q",
+        "recomp", "reused", "serve µs/q", "remote/q",
     ]);
     let mut base_build = 0.0f64;
     let mut base_refresh = 0.0f64;
@@ -1177,14 +1177,14 @@ fn shard_bench(opts: &Options) {
         let counter = |name: &str| -> u64 {
             semrec::obs::global().snapshot().counters.get(name).copied().unwrap_or(0)
         };
-        let rounds_before = counter("shard.exchange.rounds");
+        let remote_before = counter("shard.remote.discovered");
         let started = std::time::Instant::now();
         let batch = model.recommend_batch(&panel, opts.top);
         let serve_us = started.elapsed().as_secs_f64() * 1e6 / panel.len() as f64;
         for result in &batch {
             result.as_ref().unwrap_or_else(|e| fail(&e.to_string()));
         }
-        let rounds = counter("shard.exchange.rounds") - rounds_before;
+        let remote = counter("shard.remote.discovered") - remote_before;
 
         table.row([
             n.to_string(),
@@ -1196,7 +1196,7 @@ fn shard_bench(opts: &Options) {
             refresh.profiles_recomputed.to_string(),
             refresh.profiles_reused.to_string(),
             format!("{serve_us:.1}"),
-            format!("{:.2}", rounds as f64 / panel.len() as f64),
+            format!("{:.2}", remote as f64 / panel.len() as f64),
         ]);
     }
     println!("{}", table.render());

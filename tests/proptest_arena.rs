@@ -12,7 +12,7 @@ use proptest::prelude::*;
 use semrec::core::{Community, ProfileStore, Recommender, RecommenderConfig};
 use semrec::store::{decode_v2, encode_v2, sniff_version, Checkpoint, SNAPSHOT_V2};
 use semrec::taxonomy::fixtures::example1;
-use semrec::trust::appleseed::{appleseed, appleseed_csr, AppleseedParams};
+use semrec::trust::appleseed::{appleseed, AppleseedParams};
 use semrec::trust::CsrGraph;
 use semrec::web::crawler::{crawl, CommunityBuilder, CrawlConfig};
 use semrec::web::publish::publish_community;
@@ -108,7 +108,7 @@ proptest! {
         let params = AppleseedParams::default();
         for source in c.agents() {
             let g = appleseed(&c.trust, source, &params).expect("converges");
-            let f = appleseed_csr(&csr, source, &params).expect("converges");
+            let f = appleseed(&csr, source, &params).expect("converges");
             prop_assert_eq!(g.iterations, f.iterations);
             prop_assert_eq!(g.converged, f.converged);
             prop_assert_eq!(g.ranks.len(), f.ranks.len());
